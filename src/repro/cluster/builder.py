@@ -9,6 +9,7 @@ single entry point the examples, tests, and the benchmark harness use.
 
 from __future__ import annotations
 
+import gc
 import random
 from typing import Dict, List, Optional
 
@@ -83,7 +84,19 @@ class Cluster:
         # Schema + data load (setup path, no simulated traffic).
         workload.create_schema(self.catalog)
         self.catalog.provision(self.memory_nodes.values())
-        workload.load(self.catalog, self.memory_nodes, random.Random(config.seed + 2))
+        # Automatic collections during the load find no garbage and only
+        # re-walk the growing data set. Collecting the two young
+        # generations afterwards costs what the build allocated and ages
+        # the new columns out of the run's middle-generation collections;
+        # a full collection would walk the whole process (docs/KERNEL.md).
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            workload.load(self.catalog, self.memory_nodes, random.Random(config.seed + 2))
+        finally:
+            if gc_enabled:
+                gc.enable()
+        gc.collect(1)
 
         # Fault injection.
         self.injector = FaultInjector(self.sim, random.Random(config.seed + 3))

@@ -12,6 +12,7 @@ the simulation analogue of a warmed address cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, Hashable, Iterable, List, Tuple
 
 from repro.kvs.placement import Placement
@@ -136,13 +137,49 @@ class Catalog:
         table_id: int,
         items: Iterable[Tuple[Hashable, Any]],
     ) -> int:
-        """Bulk-load key/value pairs into every replica (setup path)."""
-        count = 0
-        for key, value in items:
-            slot = self.slot_for(table_id, key)
-            for node_id in self.replicas(table_id, slot):
-                memory_nodes[node_id].load_slot(table_id, slot, value)
-            count += 1
+        """Bulk-load key/value pairs into every replica (setup path).
+
+        Keys get exactly the slots that per-row :meth:`slot_for` calls
+        would give them. When every key is new and distinct, the rows
+        fill the dense run ``[start, stop)``, and each replica's columns
+        take one slice write per partition
+        (:meth:`Placement.partition_runs`). Any other run (reloaded or
+        repeated keys, a run past ``max_keys``) goes row by row, raising
+        at the first key past the keyspace like ``slot_for``.
+        """
+        rows = items if isinstance(items, list) else list(items)
+        count = len(rows)
+        slots = self._key_slots[table_id]
+        start = self._next_slot[table_id]
+        stop = start + count
+        fresh = dict(zip(map(itemgetter(0), rows), range(start, stop)))
+        if (
+            len(fresh) < count
+            or stop > self.tables[table_id].max_keys
+            or not slots.keys().isdisjoint(fresh)
+        ):
+            for key, value in rows:
+                slot = self.slot_for(table_id, key)
+                for node_id in self.replicas(table_id, slot):
+                    memory_nodes[node_id].load_slot(table_id, slot, value)
+            return count
+
+        if slots:
+            slots.update(fresh)
+        else:
+            # Adopted, not copied: a copy would briefly hold two maps of
+            # the table's size and raise the process's peak memory.
+            self._key_slots[table_id] = fresh
+        self._next_slot[table_id] = stop
+        for run in self.placement.partition_runs(start, stop):
+            chunk = [value for _key, value in rows[run.start - start :: run.step]]
+            versions = [1] * len(chunk)
+            present = [True] * len(chunk)
+            for node_id in self.replicas(table_id, run.start):
+                table = memory_nodes[node_id].tables[table_id]
+                table.values[run] = chunk
+                table.versions[run] = versions
+                table.present[run] = present
         return count
 
     def total_dataset_bytes(self) -> int:

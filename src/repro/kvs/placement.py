@@ -121,6 +121,16 @@ class Placement:
         """Partition index owning (table, slot)."""
         return (slot * 0x9E3779B1 + table_id) % self.partitions
 
+    def partition_runs(self, start: int, stop: int) -> List[slice]:
+        """Split slots ``[start, stop)`` into one strided slice per partition.
+
+        :meth:`partition_of` depends on ``slot % partitions`` only, so
+        every slot of a run shares its first slot's partition (and
+        replica list). Bulk paths read or write a column slice per run.
+        """
+        step = self.partitions
+        return [slice(first, stop, step) for first in range(start, min(start + step, stop))]
+
     def replicas(self, table_id: int, slot: int) -> Tuple[int, ...]:
         """Full (static) replica list, including any down nodes."""
         return self._partition_replicas[self.partition_of(table_id, slot)]

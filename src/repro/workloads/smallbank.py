@@ -13,6 +13,7 @@ transactions so the global total is exactly preserved.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Any, Callable, Dict, Optional
 
 from repro.workloads.base import Workload
@@ -80,15 +81,17 @@ class SmallBank(Workload):
         catalog.load(memory_nodes, TABLE_CHECKING, items)
 
     def total_balance(self, catalog, memory_nodes) -> int:
-        """Sum of all balances on primary replicas (invariant probe)."""
+        """Sum of all balances on primary replicas (invariant probe).
+
+        Accounts fill each table's slots densely from 0, so the sum
+        reads one column slice per partition from that partition's
+        current primary (:meth:`Placement.partition_runs`).
+        """
         total = 0
         for table_id in (TABLE_SAVINGS, TABLE_CHECKING):
-            for account in range(self.accounts):
-                slot = catalog.slot_for(table_id, account)
-                primary = catalog.primary(table_id, slot)
-                entry = memory_nodes[primary].slot(table_id, slot)
-                if entry.present:
-                    total += entry.value
+            for run in catalog.placement.partition_runs(0, self.accounts):
+                table = memory_nodes[catalog.primary(table_id, run.start)].tables[table_id]
+                total += sum(compress(table.values[run], table.present[run]))
         return total
 
     # -- transactions -------------------------------------------------------------

@@ -39,6 +39,36 @@ START_HOURS = (0, 8, 16)
 SF_TYPES = (1, 2, 3, 4)
 
 
+# ``Random._randbelow(n)`` draws ``n.bit_length()`` bits per try; the
+# populations sampled here hold at most four items.
+_BELOW_BITS = tuple(n.bit_length() for n in range(len(SF_TYPES) + 1))
+
+
+def _sample_some(getrandbits, population, low):
+    """``rng.sample(population, rng.randint(low, len(population)))``.
+
+    Makes exactly the ``getrandbits`` calls those two make (each
+    ``_randbelow(n)`` redraws while the result is ``>= n``), so the
+    loaded data stays identical, without their per-call overhead.
+    """
+    pool = list(population)
+    top = len(pool)
+    size = top - low + 1
+    bits = _BELOW_BITS[size]
+    count = getrandbits(bits)
+    while count >= size:
+        count = getrandbits(bits)
+    chosen = []
+    for size in range(top, top - count - low, -1):
+        bits = _BELOW_BITS[size]
+        index = getrandbits(bits)
+        while index >= size:
+            index = getrandbits(bits)
+        chosen.append(pool[index])
+        pool[index] = pool[size - 1]
+    return chosen
+
+
 class Tatp(Workload):
     """The TATP workload over the DKVS transactional API."""
 
@@ -89,17 +119,18 @@ class Tatp(Workload):
         access_rows = []
         facility_rows = []
         forwarding_rows = []
+        getrandbits = rng.getrandbits
         for sid in range(self.subscribers):
             # Each subscriber has 1-4 access-info and special-facility
             # rows; each active facility has 0-3 call-forwarding rows.
-            for ai_type in rng.sample(SF_TYPES, rng.randint(1, 4)):
-                access_rows.append(((sid, ai_type), {"data": rng.getrandbits(16)}))
-            for sf_type in rng.sample(SF_TYPES, rng.randint(1, 4)):
+            for ai_type in _sample_some(getrandbits, SF_TYPES, 1):
+                access_rows.append(((sid, ai_type), {"data": getrandbits(16)}))
+            for sf_type in _sample_some(getrandbits, SF_TYPES, 1):
                 active = rng.random() < 0.85
                 facility_rows.append(((sid, sf_type), {"is_active": active}))
-                for hour in rng.sample(START_HOURS, rng.randint(0, 3)):
+                for hour in _sample_some(getrandbits, START_HOURS, 0):
                     forwarding_rows.append(
-                        ((sid, sf_type, hour), {"numberx": rng.getrandbits(32)})
+                        ((sid, sf_type, hour), {"numberx": getrandbits(32)})
                     )
         catalog.load(memory_nodes, TABLE_ACCESS_INFO, access_rows)
         catalog.load(memory_nodes, TABLE_SPECIAL_FACILITY, facility_rows)

@@ -1,10 +1,13 @@
 """Tests for cluster configuration, wiring, and restart."""
 
+import gc
+
 import pytest
 
 from repro import Cluster
+from repro.bench.harness import default_config
 from repro.cluster.config import ClusterConfig as Config
-from repro.workloads import MicroBenchmark
+from repro.workloads import MicroBenchmark, Tatp
 
 
 def workload():
@@ -187,3 +190,47 @@ class TestFencedAliveRestart:
         ids = set(node.coordinator_ids())
         cluster.restart_compute(node)
         assert set(node.coordinator_ids()) == ids
+
+
+class TestLoadPausesGc:
+    """The data load runs with automatic GC paused; the caller's GC
+    state survives the build. These count collections, not time."""
+
+    def test_no_full_collection_during_load(self):
+        full_collections = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full_collections.append(info)
+
+        class CountedTatp(Tatp):
+            def load(self, *args):
+                gc.callbacks.append(count)
+                try:
+                    super().load(*args)
+                finally:
+                    gc.callbacks.remove(count)
+
+        Cluster(default_config(), CountedTatp(subscribers=20_000))
+        assert full_collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            Cluster(Config(), workload())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_gc_reenabled_when_load_raises(self):
+        class FailingLoad(MicroBenchmark):
+            def load(self, *args):
+                assert not gc.isenabled()
+                raise RuntimeError("load failed")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="load failed"):
+            Cluster(Config(), FailingLoad(num_keys=200))
+        assert gc.isenabled()

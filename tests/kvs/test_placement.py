@@ -123,3 +123,21 @@ def test_placement_properties(nodes, degree, table, slot):
     assert len(set(replicas)) == degree
     assert all(0 <= node < nodes for node in replicas)
     assert placement.replicas(table, slot) == replicas
+
+
+@given(
+    partitions=st.integers(min_value=1, max_value=70),
+    table=st.integers(min_value=0, max_value=8),
+    start=st.integers(min_value=0, max_value=300),
+    length=st.integers(min_value=0, max_value=300),
+)
+@settings(max_examples=100)
+def test_partition_runs_tile_the_range_within_one_partition_each(partitions, table, start, length):
+    placement = Placement([0, 1, 2], replication_degree=2, partitions=partitions)
+    stop = start + length
+    runs = placement.partition_runs(start, stop)
+    covered = sorted(slot for run in runs for slot in range(stop)[run])
+    assert covered == list(range(start, stop))
+    for run in runs:
+        owners = {placement.partition_of(table, slot) for slot in range(stop)[run]}
+        assert owners == {placement.partition_of(table, run.start)}

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Cluster, ClusterConfig
 from repro.workloads import SmallBank
-from repro.workloads.smallbank import INITIAL_BALANCE
+from repro.workloads.smallbank import INITIAL_BALANCE, TABLE_CHECKING, TABLE_SAVINGS
 
 
 class TestConfig:
@@ -81,3 +81,74 @@ class TestEndToEnd:
                     for n in catalog.replicas(table_id, slot)
                 }
                 assert len(values) == 1, f"replica divergence at {table_id}/{account}"
+
+
+def per_account_total(workload, catalog, memory_nodes):
+    """Reference probe: ``slot_for`` + ``primary`` + ``ObjectSlot`` per account."""
+    total = 0
+    for table_id in (TABLE_SAVINGS, TABLE_CHECKING):
+        for account in range(workload.accounts):
+            slot = catalog.slot_for(table_id, account)
+            entry = memory_nodes[catalog.primary(table_id, slot)].slot(table_id, slot)
+            if entry.present:
+                total += entry.value
+    return total
+
+
+class TestTotalBalance:
+    """The strided probe sums exactly what the per-account probe sums."""
+
+    ACCOUNTS = 1_001  # not a multiple of the 64 partitions
+
+    def _cluster(self, crash_memory):
+        workload = SmallBank(accounts=self.ACCOUNTS, conserving_only=True)
+        cluster = Cluster(
+            ClusterConfig(
+                memory_nodes=3,
+                replication_degree=2,
+                coordinators_per_node=3,
+                seed=21,
+                fd_timeout=2e-3,
+                fd_heartbeat_interval=0.5e-3,
+                fd_check_interval=0.25e-3,
+            ),
+            workload,
+        )
+        cluster.start()
+        if crash_memory:
+            cluster.crash_memory(0, at=0.004)
+        cluster.run(until=0.012)
+        return workload, cluster
+
+    def _scramble(self, cluster):
+        """Give every replica its own balances and drop some rows, so a
+        sum that reads a non-primary replica or an absent row differs."""
+        rng = random.Random(5)
+        for node in cluster.memory_nodes.values():
+            for table in node.tables.values():
+                for slot, present in enumerate(table.present):
+                    if present:
+                        table.values[slot] = rng.randrange(1_000_000)
+                        table.present[slot] = rng.random() > 0.05
+
+    @pytest.mark.parametrize("crash_memory", [False, True])
+    def test_matches_per_account_probe(self, crash_memory):
+        workload, cluster = self._cluster(crash_memory)
+        catalog = cluster.catalog
+        assert workload.total_balance(catalog, cluster.memory_nodes) == (
+            2 * self.ACCOUNTS * INITIAL_BALANCE
+        )
+        promoted = [
+            slot
+            for slot in range(self.ACCOUNTS)
+            if catalog.replicas(TABLE_SAVINGS, slot)[0] == 0
+        ]
+        assert promoted
+        if crash_memory:
+            assert 0 in cluster.placement.down_nodes
+            assert all(catalog.primary(TABLE_SAVINGS, slot) != 0 for slot in promoted)
+        else:
+            assert all(catalog.primary(TABLE_SAVINGS, slot) == 0 for slot in promoted)
+        self._scramble(cluster)
+        expected = per_account_total(workload, catalog, cluster.memory_nodes)
+        assert workload.total_balance(catalog, cluster.memory_nodes) == expected

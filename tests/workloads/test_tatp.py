@@ -1,10 +1,21 @@
 """Tests for the TATP workload."""
 
+import hashlib
+import random
 
 import pytest
 
 from repro import Cluster, ClusterConfig
 from repro.workloads import Tatp
+from repro.workloads.tatp import (
+    START_HOURS,
+    SF_TYPES,
+    TABLE_ACCESS_INFO,
+    TABLE_CALL_FORWARDING,
+    TABLE_SPECIAL_FACILITY,
+    TABLE_SUBSCRIBER,
+    _sample_some,
+)
 
 
 class TestConfig:
@@ -77,3 +88,71 @@ class TestEndToEnd:
         # The surviving node keeps committing after recovery.
         post = cluster.timeline.rate_between(0.03, 0.05)
         assert post > 0
+
+
+class ReferenceTatp(Tatp):
+    """TATP loaded with ``rng.sample``/``rng.randint`` and one ``slot_for``
+    plus one ``load_slot`` per replica per row."""
+
+    def load(self, catalog, memory_nodes, rng):
+        def put(table_id, key, value):
+            slot = catalog.slot_for(table_id, key)
+            for node_id in catalog.replicas(table_id, slot):
+                memory_nodes[node_id].load_slot(table_id, slot, value)
+
+        for sid in range(self.subscribers):
+            put(
+                TABLE_SUBSCRIBER,
+                sid,
+                {"bits": rng.getrandbits(10), "location": rng.getrandbits(32)},
+            )
+        rows = []
+        for sid in range(self.subscribers):
+            for ai_type in rng.sample(SF_TYPES, rng.randint(1, 4)):
+                rows.append((TABLE_ACCESS_INFO, (sid, ai_type), {"data": rng.getrandbits(16)}))
+            for sf_type in rng.sample(SF_TYPES, rng.randint(1, 4)):
+                active = rng.random() < 0.85
+                rows.append((TABLE_SPECIAL_FACILITY, (sid, sf_type), {"is_active": active}))
+                for hour in rng.sample(START_HOURS, rng.randint(0, 3)):
+                    rows.append(
+                        (
+                            TABLE_CALL_FORWARDING,
+                            (sid, sf_type, hour),
+                            {"numberx": rng.getrandbits(32)},
+                        )
+                    )
+        for table_id, key, value in rows:
+            put(table_id, key, value)
+
+
+def data_digest(cluster):
+    """Every table on every replica (values, versions, present bits) and
+    the catalog's key -> slot map."""
+    digest = hashlib.sha256()
+    catalog = cluster.catalog
+    for table_id in sorted(catalog.tables):
+        keys = catalog.known_keys(table_id)
+        digest.update(repr([(key, catalog.slot_for(table_id, key)) for key in keys]).encode())
+        for node_id in sorted(cluster.memory_nodes):
+            table = cluster.memory_nodes[node_id].tables[table_id]
+            digest.update(repr((node_id, table.versions, table.present)).encode())
+            digest.update(repr(table.values).encode())
+    return digest.hexdigest()
+
+
+class TestLoadMatchesReference:
+    def test_sample_some_draws_like_sample_and_randint(self):
+        ours, theirs = random.Random(8), random.Random(8)
+        for _ in range(2_000):
+            for population, low in ((SF_TYPES, 1), (START_HOURS, 0)):
+                expected = theirs.sample(population, theirs.randint(low, len(population)))
+                assert _sample_some(ours.getrandbits, population, low) == expected
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("memory_nodes", [2, 3])
+    def test_data_digest_matches_reference_loader(self, memory_nodes):
+        config = ClusterConfig(memory_nodes=memory_nodes, replication_degree=2, seed=4)
+        loaded = Cluster(config, Tatp(subscribers=2_000))
+        reference = Cluster(config, ReferenceTatp(subscribers=2_000))
+        assert loaded.catalog.key_count(TABLE_CALL_FORWARDING) > 2_000
+        assert data_digest(loaded) == data_digest(reference)
