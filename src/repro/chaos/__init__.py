@@ -10,7 +10,7 @@ attribution. Failing schedules are minimized with a delta-debugging
 shrinker and emitted as replayable JSON artifacts.
 """
 
-from repro.chaos.campaign import ChaosResult, ChaosRunner, run_schedule
+from repro.chaos.campaign import ChaosResult, ChaosRunner, run_schedule, state_fingerprint
 from repro.chaos.oracle import OracleViolation, check_cluster
 from repro.chaos.schedule import (
     ALL_CRASH_POINTS,
@@ -30,6 +30,7 @@ __all__ = [
     "ChaosResult",
     "ChaosRunner",
     "run_schedule",
+    "state_fingerprint",
     "OracleViolation",
     "check_cluster",
     "shrink_schedule",

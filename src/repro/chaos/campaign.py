@@ -32,6 +32,7 @@ __all__ = [
     "ChaosRunner",
     "DEFAULT_FD_REDETECT_INTERVAL",
     "run_schedule",
+    "state_fingerprint",
 ]
 
 # Wall-clock guards, in virtual seconds past the schedule's duration.
@@ -55,6 +56,38 @@ def _stable_int(value) -> int:
     return int.from_bytes(
         hashlib.blake2b(repr(value).encode(), digest_size=8).digest(), "big"
     )
+
+
+def _fold(state: int, value: int) -> int:
+    return (state * 1000003 + value) & _FINGERPRINT_MASK
+
+
+def state_fingerprint(cluster: Cluster) -> int:
+    """Order-dependent digest of every live memory node's object state.
+
+    Iterates tables/slots/nodes in a fixed order and folds integers
+    only (non-int values through :func:`_stable_int`), so the same
+    seed produces the same fingerprint in any interpreter session.
+    """
+    state = 0
+    for spec in sorted(cluster.catalog.tables.values(), key=lambda s: s.table_id):
+        slot_count = cluster.catalog.key_count(spec.table_id)
+        for slot in range(slot_count):
+            for node_id in sorted(cluster.memory_nodes):
+                memory = cluster.memory_nodes[node_id]
+                if not memory.alive:
+                    continue
+                obj = memory.slot(spec.table_id, slot)
+                value = obj.value
+                for folded in (
+                    node_id,
+                    obj.version,
+                    int(obj.present),
+                    value if isinstance(value, int) else _stable_int(value),
+                    obj.lock,
+                ):
+                    state = _fold(state, folded)
+    return state
 
 
 @dataclass
@@ -93,8 +126,6 @@ class ChaosRunner:
         schedule: Schedule,
         sanitize: bool = False,
         fd_redetect_interval: float = DEFAULT_FD_REDETECT_INTERVAL,
-        legacy_kernel: bool = False,
-        legacy_engine: bool = False,
     ) -> None:
         self.schedule = schedule
         if fd_redetect_interval <= 0:
@@ -118,8 +149,6 @@ class ChaosRunner:
                 fd_redetect_interval if schedule.fd_redetect else None
             ),
             sanitize=sanitize,
-            legacy_kernel=legacy_kernel,
-            legacy_engine=legacy_engine,
         )
         self.cluster = Cluster(config, _FuzzWorkload(schedule.keys))
         self.history: List = []
@@ -291,37 +320,8 @@ class ChaosRunner:
                 )
 
     def _fingerprint(self) -> int:
-        """Order-independent-free digest of the final object state.
-
-        Iterates tables/slots in a fixed order and folds integers only
-        (``hash`` of ints is process-stable), so the same seed produces
-        the same fingerprint in any interpreter session.
-        """
-        state = 0
-
-        def fold(*values: int) -> None:
-            nonlocal state
-            for value in values:
-                state = (state * 1000003 + value) & _FINGERPRINT_MASK
-
-        cluster = self.cluster
-        for spec in sorted(cluster.catalog.tables.values(), key=lambda s: s.table_id):
-            slot_count = cluster.catalog.key_count(spec.table_id)
-            for slot in range(slot_count):
-                for node_id in sorted(cluster.memory_nodes):
-                    memory = cluster.memory_nodes[node_id]
-                    if not memory.alive:
-                        continue
-                    obj = memory.slot(spec.table_id, slot)
-                    fold(
-                        node_id,
-                        obj.version,
-                        int(obj.present),
-                        obj.value if isinstance(obj.value, int) else _stable_int(obj.value),
-                        obj.lock,
-                    )
-        fold(len(self.history))
-        return state
+        """The final object state's digest, with the commit count."""
+        return _fold(state_fingerprint(self.cluster), len(self.history))
 
     def run(self) -> ChaosResult:
         schedule = self.schedule

@@ -20,9 +20,9 @@ three pluggable axes (see :mod:`repro.protocol.strategies`):
 plus the six **bug flags** of Table 1, which reproduce the published
 FORD behaviour for the litmus framework and stay on the engine.
 
-The frozen pre-refactor engine lives in :mod:`repro.protocol.legacy`;
-``tests/integration/test_strategy_parity.py`` pins the strategy
-recomposition to it bit-identically.
+The golden corpus (``tests/integration/golden_corpus.json``) pins
+every protocol's litmus and chaos outcomes, end-state fingerprints,
+event counts and verb totals.
 
 Application logic is a generator function ``logic(tx)`` that drives a
 :class:`Txn` handle (`yield from tx.read(...)`, ``tx.write(...)``); the

@@ -18,9 +18,8 @@ engine:
   logless vote write).
 
 The original three protocols are re-expressed as triples with
-bit-identical behaviour (pinned by
-``tests/integration/test_strategy_parity.py`` against the frozen
-:mod:`repro.protocol.legacy` engine):
+bit-identical behaviour; the golden corpus
+(``tests/integration/golden_corpus.json``) pins all five:
 
 =========  ======================  ====================  ==========================
 protocol   lock                    log                   commit

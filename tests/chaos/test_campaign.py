@@ -29,15 +29,6 @@ class TestCampaign:
         result = run_schedule(generate_schedule(1))
         assert result.recovery_kills >= 1
 
-    def test_same_seed_same_fingerprint(self):
-        """Bit-identical replay: same schedule, same final state."""
-        schedule = generate_schedule(2)
-        first = run_schedule(schedule)
-        second = run_schedule(schedule)
-        assert first.fingerprint == second.fingerprint
-        assert first.committed == second.committed
-        assert first.crashes == second.crashes
-
     def test_commits_happen_under_chaos(self):
         """The workload makes real progress despite the fault load."""
         result = run_schedule(generate_schedule(0))

@@ -1,8 +1,8 @@
 """Chaos coverage for the two zoo newcomers (lotus, vote1pc).
 
-Neither has a frozen legacy twin to diff against, so their safety case
-is the consistency oracle itself: every fault family must run to
-quiescence with zero violations, sanitized or not. Two regressions are
+Their safety case is the consistency oracle itself: every fault family
+must run to quiescence with zero violations, sanitized or not (the
+golden corpus separately pins their exact outcomes). Two regressions are
 pinned here on the seeds that caught them:
 
 * lotus: a memory restore used to leave the node's *volatile* ticket
@@ -50,14 +50,6 @@ class TestZooCampaign:
             generate_schedule(seed, protocol=protocol), sanitize=True
         )
         assert result.ok, [str(v) for v in result.violations]
-
-    @pytest.mark.parametrize("protocol", ZOO)
-    def test_same_seed_same_fingerprint(self, protocol):
-        schedule = generate_schedule(2, protocol=protocol)
-        first = run_schedule(schedule)
-        second = run_schedule(schedule)
-        assert first.fingerprint == second.fingerprint
-        assert first.committed == second.committed
 
 
 class TestTicketQueuesAreVolatile:

@@ -72,3 +72,12 @@ class TestProfilerParity:
         rollup = profiler.subsystem_rollup()
         for subsystem in ("kernel", "rdma", "protocol"):
             assert subsystem in rollup, subsystem
+
+    def test_profiled_run_is_bit_identical(self):
+        from repro.bench.kernelperf import FleetSpec, run_fleet
+
+        spec = FleetSpec("parity", compute_nodes=2, coordinators_per_node=4,
+                         keys=500, duration=2e-3)
+        plain = run_fleet(spec, repeats=1, seed=5)
+        profiled = run_fleet(spec, repeats=1, seed=5, profiler=KernelProfiler())
+        assert profiled.steps == plain.steps
